@@ -33,52 +33,61 @@ use std::sync::Arc;
 
 use atnn_tensor::{dot, CowMatrix, CowQuantMatrix, Matrix, PreparedQuery, QuantizedMatrix};
 
-/// The embedding pool a retriever scans: dense f32 rows, or int8 row
-/// codes scored through the quantized dot kernel.
+/// The embedding pool a retriever scans and a snapshot serves from: one
+/// chunked copy-on-write row store per precision.
 ///
-/// The f32 variant keeps every existing guarantee (probed candidates are
+/// The f32 variant keeps every exactness guarantee (probed candidates are
 /// re-ranked with the *exact* dot, so approximation error is only missed
 /// candidates). The int8 variant trades that for ~3.7× less resident
 /// memory: every candidate dot is computed by
-/// [`QuantizedMatrix::dot_prepared`], so scores are toleranced against
+/// [`CowQuantMatrix::dot_prepared`], so scores are toleranced against
 /// the f32 path — but the ranking itself stays deterministic, and a
 /// full-probe scan over an int8 pool is still bit-identical to a
 /// [`BruteForce`] scan over the *same* int8 pool.
+///
+/// A contiguous `Arc<Matrix>` / `Arc<QuantizedMatrix>` converts in
+/// zero-copy as a one-chunk table; row reads are bit-identical whatever
+/// the chunking.
 #[derive(Debug, Clone)]
 pub enum ItemPool {
     /// Dense f32 embeddings (row id == item id). Exact dots.
-    F32(Arc<Matrix>),
+    F32(Arc<CowMatrix>),
     /// Int8-quantized embeddings with per-row scale/zero-point.
-    Int8(Arc<QuantizedMatrix>),
-    /// Chunked copy-on-write f32 embeddings — what delta publishes
-    /// serve from. Row reads are bit-identical to the contiguous
-    /// variant; only the storage layout differs.
-    CowF32(Arc<CowMatrix>),
-    /// Chunked copy-on-write int8 embeddings.
-    CowInt8(Arc<CowQuantMatrix>),
+    Int8(Arc<CowQuantMatrix>),
 }
 
-impl From<Arc<Matrix>> for ItemPool {
-    fn from(vecs: Arc<Matrix>) -> Self {
-        ItemPool::F32(vecs)
-    }
-}
-
-impl From<Arc<QuantizedMatrix>> for ItemPool {
-    fn from(vecs: Arc<QuantizedMatrix>) -> Self {
-        ItemPool::Int8(vecs)
-    }
+/// A query readied once for repeated [`ItemPool::dot`] calls against the
+/// pool that prepared it: the f32 vector itself, or its int8 codes plus
+/// the pool's anchor term.
+#[derive(Debug, Clone)]
+pub enum PoolQuery {
+    /// The query as given, for exact f32 dots.
+    F32(Vec<f32>),
+    /// The query quantized against an int8 pool's anchor.
+    Int8(PreparedQuery),
 }
 
 impl From<Arc<CowMatrix>> for ItemPool {
     fn from(vecs: Arc<CowMatrix>) -> Self {
-        ItemPool::CowF32(vecs)
+        ItemPool::F32(vecs)
     }
 }
 
 impl From<Arc<CowQuantMatrix>> for ItemPool {
     fn from(vecs: Arc<CowQuantMatrix>) -> Self {
-        ItemPool::CowInt8(vecs)
+        ItemPool::Int8(vecs)
+    }
+}
+
+impl From<Arc<Matrix>> for ItemPool {
+    fn from(vecs: Arc<Matrix>) -> Self {
+        ItemPool::F32(Arc::new(vecs.into()))
+    }
+}
+
+impl From<Arc<QuantizedMatrix>> for ItemPool {
+    fn from(vecs: Arc<QuantizedMatrix>) -> Self {
+        ItemPool::Int8(Arc::new(vecs.into()))
     }
 }
 
@@ -88,8 +97,6 @@ impl ItemPool {
         match self {
             ItemPool::F32(m) => m.rows(),
             ItemPool::Int8(q) => q.rows(),
-            ItemPool::CowF32(m) => m.rows(),
-            ItemPool::CowInt8(q) => q.rows(),
         }
     }
 
@@ -98,53 +105,83 @@ impl ItemPool {
         match self {
             ItemPool::F32(m) => m.cols(),
             ItemPool::Int8(q) => q.cols(),
-            ItemPool::CowF32(m) => m.cols(),
-            ItemPool::CowInt8(q) => q.cols(),
         }
     }
 
     /// Resident bytes of the pool's embedding payload.
     pub fn storage_bytes(&self) -> usize {
         match self {
-            ItemPool::F32(m) => m.len() * 4,
+            ItemPool::F32(m) => m.f32_bytes(),
             ItemPool::Int8(q) => q.storage_bytes(),
-            ItemPool::CowF32(m) => m.len() * 4,
-            ItemPool::CowInt8(q) => q.storage_bytes(),
         }
     }
 
-    /// True for the int8 variants.
+    /// Bytes the same pool would occupy as raw f32.
+    pub fn f32_bytes(&self) -> usize {
+        self.rows() * self.cols() * 4
+    }
+
+    /// True for the int8 variant.
     pub fn is_quantized(&self) -> bool {
-        matches!(self, ItemPool::Int8(_) | ItemPool::CowInt8(_))
+        matches!(self, ItemPool::Int8(_))
     }
 
-    /// A per-query scorer: prepares (quantizes) the query once so each
-    /// candidate costs one kernel call.
-    fn scorer<'a>(&'a self, query: &'a [f32]) -> PoolScorer<'a> {
+    /// The f32 table, or `None` for an int8 pool.
+    pub fn as_f32(&self) -> Option<&Arc<CowMatrix>> {
         match self {
-            ItemPool::F32(m) => PoolScorer::F32 { vecs: m, query },
-            ItemPool::Int8(q) => PoolScorer::Int8 { codes: q, prep: q.prepare(query) },
-            ItemPool::CowF32(m) => PoolScorer::CowF32 { vecs: m, query },
-            ItemPool::CowInt8(q) => PoolScorer::CowInt8 { codes: q, prep: q.prepare(query) },
+            ItemPool::F32(m) => Some(m),
+            ItemPool::Int8(_) => None,
         }
     }
-}
 
-enum PoolScorer<'a> {
-    F32 { vecs: &'a Matrix, query: &'a [f32] },
-    Int8 { codes: &'a QuantizedMatrix, prep: PreparedQuery },
-    CowF32 { vecs: &'a CowMatrix, query: &'a [f32] },
-    CowInt8 { codes: &'a CowQuantMatrix, prep: PreparedQuery },
-}
-
-impl PoolScorer<'_> {
-    #[inline]
-    fn score(&self, id: u32) -> f32 {
+    /// The int8 table, or `None` for an f32 pool.
+    pub fn as_int8(&self) -> Option<&Arc<CowQuantMatrix>> {
         match self {
-            PoolScorer::F32 { vecs, query } => dot(vecs.row(id as usize), query),
-            PoolScorer::Int8 { codes, prep } => codes.dot_prepared(id as usize, prep),
-            PoolScorer::CowF32 { vecs, query } => dot(vecs.row(id as usize), query),
-            PoolScorer::CowInt8 { codes, prep } => codes.dot_prepared(id as usize, prep),
+            ItemPool::F32(_) => None,
+            ItemPool::Int8(q) => Some(q),
+        }
+    }
+
+    /// Readies `query` for this pool (quantizing it against the anchor
+    /// for int8) so each candidate costs one kernel call.
+    pub fn prepare(&self, query: &[f32]) -> PoolQuery {
+        match self {
+            ItemPool::F32(_) => PoolQuery::F32(query.to_vec()),
+            ItemPool::Int8(q) => PoolQuery::Int8(q.prepare(query)),
+        }
+    }
+
+    /// `dot(row id, query)`: exact for f32, quantized for int8.
+    ///
+    /// # Panics
+    /// Panics when `query` was prepared by a pool of the other precision.
+    #[inline]
+    pub fn dot(&self, id: u32, query: &PoolQuery) -> f32 {
+        match (self, query) {
+            (ItemPool::F32(m), PoolQuery::F32(q)) => dot(m.row(id as usize), q),
+            (ItemPool::Int8(t), PoolQuery::Int8(q)) => t.dot_prepared(id as usize, q),
+            _ => panic!("ItemPool::dot: query prepared for the other precision"),
+        }
+    }
+
+    /// Replaces row `ids[k]` with `rows.row(k)` — a verbatim copy for
+    /// f32, a re-quantization against the table's frozen anchor for int8
+    /// — cloning only the touched chunks, so every other handle to the
+    /// previous table (the snapshot being replaced) keeps reading it
+    /// unchanged.
+    pub fn update_rows(&mut self, ids: &[u32], rows: &Matrix) {
+        match self {
+            ItemPool::F32(m) => Arc::make_mut(m).update_rows(ids, rows),
+            ItemPool::Int8(q) => Arc::make_mut(q).requantize_rows(ids, rows),
+        }
+    }
+
+    /// The whole pool as one contiguous f32 matrix (dequantized for
+    /// int8) — what an index rebuild trains on; serving never calls this.
+    pub fn to_f32(&self) -> Matrix {
+        match self {
+            ItemPool::F32(m) => m.to_matrix(),
+            ItemPool::Int8(q) => q.dequantize(),
         }
     }
 }
@@ -270,9 +307,10 @@ impl Retriever for BruteForce {
         keep: &dyn Fn(u32) -> bool,
     ) -> Vec<(u32, f32)> {
         assert_eq!(query.len(), self.dim(), "query width mismatch");
-        let scorer = self.pool.scorer(query);
-        let candidates =
-            (0..self.pool.rows() as u32).filter(|&id| keep(id)).map(|id| (id, scorer.score(id)));
+        let query = self.pool.prepare(query);
+        let candidates = (0..self.pool.rows() as u32)
+            .filter(|&id| keep(id))
+            .map(|id| (id, self.pool.dot(id, &query)));
         topk_select(candidates, k)
     }
 }
@@ -405,7 +443,7 @@ impl IvfFlatIndex {
             lists,
             assignments,
             drift: 0,
-            pool: ItemPool::F32(vecs),
+            pool: vecs.into(),
         }
     }
 
@@ -556,12 +594,12 @@ impl Retriever for IvfFlatIndex {
         let nprobe = if nprobe == 0 { self.params.default_nprobe } else { nprobe };
         let nprobe = nprobe.clamp(1, self.lists.len());
         let order = self.rank_centroids(query);
-        let scorer = self.pool.scorer(query);
+        let query = self.pool.prepare(query);
         let candidates = order[..nprobe]
             .iter()
             .flat_map(|&c| self.lists[c as usize].iter().copied())
             .filter(|&id| keep(id))
-            .map(|id| (id, scorer.score(id)));
+            .map(|id| (id, self.pool.dot(id, &query)));
         topk_select(candidates, k)
     }
 }
@@ -1072,26 +1110,45 @@ mod tests {
         assert_eq!(rebuilt.drift(), 0, "training the quantizer clears drift");
     }
 
+    /// The single-representation pin: a contiguous table adopted as one
+    /// chunk and its 1,024-row-chunked twin are the same pool — every row
+    /// dot bit-equal, for both precisions — and writing through an
+    /// adopted table copies the chunk instead of touching the donor.
     #[test]
-    fn cow_pools_score_identically_to_their_contiguous_twins() {
-        use atnn_tensor::{CowMatrix, CowQuantMatrix};
-        let pool = clustered_pool(900, 16, 12, 61);
-        let ivf = IvfFlatIndex::build(Arc::clone(&pool), IvfParams::for_items(pool.rows()));
+    fn adopted_one_chunk_pools_match_their_chunked_twins_bitwise() {
+        let donor = clustered_pool(2 * atnn_tensor::COW_CHUNK_ROWS + 300, 16, 12, 61);
+        let codes = Arc::new(QuantizedMatrix::from_matrix(&donor));
+        let (donor_before, codes_before) = ((*donor).clone(), (*codes).clone());
+        let ivf = IvfFlatIndex::build(Arc::clone(&donor), IvfParams::for_items(donor.rows()));
         let q = query(16, 42);
+        let changed: Vec<u32> = vec![0, 1023, 1024, 2347];
+        let rows = mutate_rows(&donor, &changed, 5).select_rows(&changed).unwrap();
 
-        let cow = Arc::new(CowMatrix::from_matrix(&pool));
-        let via_cow = ivf.clone().with_pool(Arc::clone(&cow)).unwrap();
-        assert_eq!(via_cow.topk(&q, 25, 4), ivf.topk(&q, 25, 4));
-        assert_eq!(via_cow.topk(&q, 25, via_cow.nlist()), ivf.topk(&q, 25, ivf.nlist()));
+        let pairs: [(ItemPool, ItemPool); 2] = [
+            (Arc::clone(&donor).into(), Arc::new(CowMatrix::from_matrix(&donor)).into()),
+            (Arc::clone(&codes).into(), Arc::new(CowQuantMatrix::from_quantized(&codes)).into()),
+        ];
+        for (mut adopted, mut chunked) in pairs {
+            assert_eq!(adopted.is_quantized(), chunked.is_quantized());
+            let (prep_a, prep_c) = (adopted.prepare(&q), chunked.prepare(&q));
+            for id in 0..donor.rows() as u32 {
+                let (a, c) = (adopted.dot(id, &prep_a), chunked.dot(id, &prep_c));
+                assert_eq!(a.to_bits(), c.to_bits(), "row {id}");
+            }
+            let via_adopted = ivf.clone().with_pool(adopted.clone()).unwrap();
+            let via_chunked = ivf.clone().with_pool(chunked.clone()).unwrap();
+            assert_eq!(via_adopted.topk(&q, 25, 4), via_chunked.topk(&q, 25, 4));
+            assert_eq!(
+                via_adopted.topk(&q, 25, via_adopted.nlist()),
+                BruteForce::new(chunked.clone()).topk(&q, 25, 0)
+            );
 
-        let codes = Arc::new(QuantizedMatrix::from_matrix(&pool));
-        let cow_q = Arc::new(CowQuantMatrix::from_quantized(&codes));
-        let via_int8 = ivf.clone().with_pool(Arc::clone(&codes)).unwrap();
-        let via_cow_q = ivf.clone().with_pool(Arc::clone(&cow_q)).unwrap();
-        assert!(via_cow_q.pool().is_quantized());
-        assert_eq!(via_cow_q.topk(&q, 25, 4), via_int8.topk(&q, 25, 4));
-        let oracle = BruteForce::new(cow_q);
-        assert_eq!(via_cow_q.topk(&q, 25, via_cow_q.nlist()), oracle.topk(&q, 25, 0));
+            adopted.update_rows(&changed, &rows);
+            chunked.update_rows(&changed, &rows);
+            assert_eq!(adopted.to_f32(), chunked.to_f32(), "same update, same table");
+        }
+        assert_eq!(*donor, donor_before, "update_rows wrote through the adopted f32 donor");
+        assert_eq!(*codes, codes_before, "...or the int8 donor");
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //!
 //! ```text
 //! magic  b"ATNNART1"                      (8 bytes)
-//! format version  u32                     (currently 3; 1 and 2 still
-//!                                          decode)
+//! format version  u32                     (3; any other is rejected)
 //! payload checksum  u64                   (FNV-1a over everything below)
 //! model version  u64                      (publisher's monotonically
 //!                                          increasing tag; shown by the
 //!                                          serve Health/Stats endpoints)
 //! TmallConfig | AtnnConfig | weights blob | index
-//! has_ann  u8                             (version ≥ 2 only)
+//! has_ann  u8
 //! ann blob  u64 length + bytes            (present iff has_ann == 1)
+//! has_quant  u8
+//! quant checksum  u64 + quant len  u64    (present iff has_quant == 1)
+//! cold ATQ8 blob | warm ATQ8 blob
 //! ```
 //!
 //! The checksum is verified before anything is parsed, so a truncated or
@@ -26,28 +28,18 @@
 //! [`atnn_nn::save_store`] checkpoint, which carries its own header and
 //! checksum — defense in depth for the largest section.
 //!
-//! Version 2 appends an *optional* serialized ANN retrieval index (the
-//! `atnn-ann` IVF blob, itself magic'd, versioned and checksummed). The
-//! section is opaque at this layer — the serving snapshot validates it
-//! against the embeddings it computes at load and silently rebuilds when
-//! the blob is absent or stale, so legacy version-1 artifacts keep loading
-//! unchanged.
+//! The *optional* ann section is a serialized retrieval index (the
+//! `atnn-ann` IVF blob, itself magic'd, versioned and checksummed). It is
+//! opaque at this layer — the serving snapshot validates it against the
+//! embeddings it computes at load and silently rebuilds when the blob is
+//! absent or stale.
 //!
-//! Version 3 appends an *optional* quantized-tables section: the int8
-//! cold/warm serving tables ([`atnn_tensor::QuantizedMatrix`] `ATQ8`
-//! blobs) the publisher quantized at publish time, behind their own
-//! FNV-1a section checksum:
-//!
-//! ```text
-//! has_quant  u8                           (version ≥ 3 only)
-//! quant checksum  u64 + quant len  u64    (present iff has_quant == 1)
-//! cold ATQ8 blob | warm ATQ8 blob
-//! ```
-//!
-//! A replica that adopts the section serves bit-identically to the
-//! publisher's quantized snapshot; one that ignores it (or loads a
-//! version ≤ 2 artifact) falls back to the f32 weights, from which the
-//! same tables can be re-quantized deterministically.
+//! The *optional* quant section holds the int8 cold/warm serving tables
+//! ([`atnn_tensor::QuantizedMatrix`] `ATQ8` blobs) the publisher quantized
+//! at publish time, behind their own FNV-1a section checksum. A replica
+//! that adopts the section serves bit-identically to the publisher's
+//! quantized snapshot; one that ignores it falls back to the f32 weights,
+//! from which the same tables can be re-quantized deterministically.
 
 use std::fmt;
 use std::path::Path;
@@ -63,8 +55,6 @@ use crate::popularity::PopularityIndex;
 
 const MAGIC: &[u8; 8] = b"ATNNART1";
 const VERSION: u32 = 3;
-/// Oldest format version [`ModelArtifact::decode`] still accepts.
-const MIN_VERSION: u32 = 1;
 
 /// Errors from artifact (de)serialization and instantiation.
 #[derive(Debug)]
@@ -139,10 +129,9 @@ pub struct ModelArtifact {
     pub weights: Bytes,
     /// The frozen O(1) serving index.
     pub index: PopularityIndex,
-    /// Optional serialized ANN retrieval index (opaque at this layer;
-    /// format-version-2 artifacts only).
+    /// Optional serialized ANN retrieval index (opaque at this layer).
     pub ann: Option<Bytes>,
-    /// Optional int8 serving tables (format-version-3 artifacts only).
+    /// Optional int8 serving tables.
     pub quant: Option<QuantTables>,
 }
 
@@ -254,8 +243,7 @@ impl ModelArtifact {
         if &magic != MAGIC {
             return Err(ArtifactError::Corrupt("bad magic"));
         }
-        let format_version = buf.get_u32_le();
-        if !(MIN_VERSION..=VERSION).contains(&format_version) {
+        if buf.get_u32_le() != VERSION {
             return Err(ArtifactError::Corrupt("unsupported version"));
         }
         let expected = buf.get_u64_le();
@@ -267,12 +255,7 @@ impl ModelArtifact {
         let model_version = read_u64(&mut buf)?;
         let data_config = decode_tmall_config(&mut buf)?;
         let model_config = decode_atnn_config(&mut buf)?;
-        let weights_len = read_u64(&mut buf)? as usize;
-        if buf.remaining() < weights_len {
-            return Err(ArtifactError::Corrupt("weights truncated"));
-        }
-        let weights = buf.slice(0..weights_len);
-        buf.advance(weights_len);
+        let weights = read_blob(&mut buf, "weights truncated")?;
         let dim = read_u32(&mut buf)? as usize;
         if dim == 0 || buf.remaining() < dim * 4 + 4 {
             return Err(ArtifactError::Corrupt("index truncated"));
@@ -282,54 +265,25 @@ impl ModelArtifact {
             mean.push(buf.get_f32_le());
         }
         let bias = buf.get_f32_le();
-        let ann = if format_version >= 2 {
-            if buf.remaining() < 1 {
-                return Err(ArtifactError::Corrupt("ann section truncated"));
-            }
-            match buf.get_u8() {
-                0 => None,
-                1 => {
-                    let len = read_u64(&mut buf)? as usize;
-                    if buf.remaining() < len {
-                        return Err(ArtifactError::Corrupt("ann blob truncated"));
-                    }
-                    let ann = buf.slice(0..len);
-                    buf.advance(len);
-                    Some(ann)
-                }
-                _ => return Err(ArtifactError::Corrupt("bad ann flag")),
-            }
+        let ann = if read_bool(&mut buf)? {
+            Some(read_blob(&mut buf, "ann blob truncated")?)
         } else {
             None
         };
-        let quant = if format_version >= 3 {
-            if buf.remaining() < 1 {
-                return Err(ArtifactError::Corrupt("quant section truncated"));
+        let quant = if read_bool(&mut buf)? {
+            let section_sum = read_u64(&mut buf)?;
+            let mut section = read_blob(&mut buf, "quant section truncated")?;
+            if fnv1a64(&section) != section_sum {
+                return Err(ArtifactError::Corrupt("quant section checksum mismatch"));
             }
-            match buf.get_u8() {
-                0 => None,
-                1 => {
-                    let section_sum = read_u64(&mut buf)?;
-                    let len = read_u64(&mut buf)? as usize;
-                    if buf.remaining() < len {
-                        return Err(ArtifactError::Corrupt("quant section truncated"));
-                    }
-                    let mut section = buf.slice(0..len);
-                    buf.advance(len);
-                    if fnv1a64(&section) != section_sum {
-                        return Err(ArtifactError::Corrupt("quant section checksum mismatch"));
-                    }
-                    let cold = QuantizedMatrix::decode(&mut section)
-                        .map_err(|_| ArtifactError::Corrupt("bad quant cold table"))?;
-                    let warm = QuantizedMatrix::decode(&mut section)
-                        .map_err(|_| ArtifactError::Corrupt("bad quant warm table"))?;
-                    if section.remaining() != 0 {
-                        return Err(ArtifactError::Corrupt("quant section trailing bytes"));
-                    }
-                    Some(QuantTables { cold, warm })
-                }
-                _ => return Err(ArtifactError::Corrupt("bad quant flag")),
+            let cold = QuantizedMatrix::decode(&mut section)
+                .map_err(|_| ArtifactError::Corrupt("bad quant cold table"))?;
+            let warm = QuantizedMatrix::decode(&mut section)
+                .map_err(|_| ArtifactError::Corrupt("bad quant warm table"))?;
+            if section.remaining() != 0 {
+                return Err(ArtifactError::Corrupt("quant section trailing bytes"));
             }
+            Some(QuantTables { cold, warm })
         } else {
             None
         };
@@ -392,6 +346,17 @@ fn read_u64(buf: &mut Bytes) -> Result<u64, ArtifactError> {
         return Err(ArtifactError::Corrupt("field truncated"));
     }
     Ok(buf.get_u64_le())
+}
+
+/// A `u64` length followed by that many bytes, shared with `buf`.
+fn read_blob(buf: &mut Bytes, truncated: &'static str) -> Result<Bytes, ArtifactError> {
+    let len = read_u64(buf)? as usize;
+    if buf.remaining() < len {
+        return Err(ArtifactError::Corrupt(truncated));
+    }
+    let blob = buf.slice(0..len);
+    buf.advance(len);
+    Ok(blob)
 }
 
 fn read_f32(buf: &mut Bytes) -> Result<f32, ArtifactError> {
@@ -582,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn ann_section_round_trips_and_legacy_v1_artifacts_still_decode() {
+    fn ann_section_round_trips_and_v1_artifacts_are_rejected() {
         let (model, data, cfg) = trained();
         let artifact = capture(&model, &data, &cfg);
 
@@ -593,10 +558,10 @@ mod tests {
         assert_eq!(back.index, artifact.index);
         assert_eq!(back.weights, artifact.weights);
 
-        // A legacy version-1 artifact is the same payload minus the quant
-        // and ann sections: drop the trailing has_quant and has_ann
-        // flags, patch the format version down and recompute the
-        // checksum.
+        // A version-1 artifact was the same payload minus the quant and
+        // ann sections: drop the trailing has_quant and has_ann flags,
+        // patch the format version down and recompute the checksum. The
+        // format is retired, so the blob must be refused by its version.
         let v3 = artifact.encode();
         let mut v1 = v3.as_ref().to_vec();
         assert_eq!(v1.pop(), Some(0), "a v3 artifact without quant ends with has_quant = 0");
@@ -604,15 +569,14 @@ mod tests {
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
         let checksum = fnv1a64(&v1[20..]);
         v1[12..20].copy_from_slice(&checksum.to_le_bytes());
-        let legacy = ModelArtifact::decode(Bytes::from(v1)).unwrap();
-        assert!(legacy.ann().is_none(), "v1 artifacts carry no ann section");
-        assert_eq!(legacy.index, artifact.index);
-        assert_eq!(legacy.weights, artifact.weights);
-        assert_eq!(legacy.model_version, artifact.model_version);
+        assert!(matches!(
+            ModelArtifact::decode(Bytes::from(v1)),
+            Err(ArtifactError::Corrupt("unsupported version"))
+        ));
     }
 
     #[test]
-    fn quant_section_round_trips_and_legacy_v2_artifacts_still_decode() {
+    fn quant_section_round_trips_and_v2_artifacts_are_rejected() {
         use atnn_tensor::{Matrix, QuantizedMatrix};
         let (model, data, cfg) = trained();
         let artifact = capture(&model, &data, &cfg);
@@ -646,21 +610,20 @@ mod tests {
         ));
 
         // A pre-quantization version-2 artifact (ann section, no quant
-        // section) still decodes: drop the trailing has_quant flag, patch
-        // the format version down and recompute the checksum.
+        // section) — drop the trailing has_quant flag, patch the format
+        // version down and recompute the checksum — is refused by its
+        // version like any other retired format.
         let ann_blob = Bytes::from_static(b"ATNNIVF1-opaque-test-bytes");
-        let v3 = artifact.clone().with_ann(ann_blob.clone()).encode();
+        let v3 = artifact.clone().with_ann(ann_blob).encode();
         let mut v2 = v3.as_ref().to_vec();
         assert_eq!(v2.pop(), Some(0), "a v3 artifact without quant ends with has_quant = 0");
         v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         let checksum = fnv1a64(&v2[20..]);
         v2[12..20].copy_from_slice(&checksum.to_le_bytes());
-        let legacy = ModelArtifact::decode(Bytes::from(v2)).unwrap();
-        assert!(legacy.quant().is_none(), "v2 artifacts carry no quant section");
-        assert_eq!(legacy.ann(), Some(ann_blob.as_ref()), "the ann section is preserved");
-        assert_eq!(legacy.index, artifact.index);
-        assert_eq!(legacy.weights, artifact.weights);
-        assert_eq!(legacy.model_version, artifact.model_version);
+        assert!(matches!(
+            ModelArtifact::decode(Bytes::from(v2)),
+            Err(ArtifactError::Corrupt("unsupported version"))
+        ));
     }
 
     #[test]

@@ -70,9 +70,7 @@ pub use features::FeatureEncoder;
 pub use grouping::{GroupedPopularityIndex, KMeans};
 pub use model::{Atnn, StepLosses};
 pub use multitask::{evaluate_mae_cold, MultiTaskAtnn, MultiTaskReport, MultiTaskTrainOptions};
-pub use popularity::{
-    pairwise_popularity, pairwise_popularity_parallel, PopularityIndex, ServingIndex,
-};
+pub use popularity::{pairwise_popularity, pairwise_popularity_parallel, PopularityIndex};
 pub use towers::Tower;
 pub use trainer::{
     evaluate_auc_full, evaluate_auc_generated, evaluate_auc_imputed, gather_batch, CtrTrainer,

@@ -8,10 +8,8 @@
 //! arrival against the stored mean vector. Per-item cost drops from
 //! `O(N_users)` to `O(1)`.
 
-use std::sync::Arc;
-
 use atnn_data::tmall::TmallDataset;
-use atnn_tensor::{dot, pool, Matrix, SwapCell};
+use atnn_tensor::{dot, pool, Matrix};
 
 use crate::model::Atnn;
 
@@ -156,42 +154,6 @@ pub fn pairwise_popularity_parallel(
     .collect()
 }
 
-/// A hot-swappable serving wrapper: scoring threads read an [`Arc`]
-/// snapshot while a trainer republishes the index after each model
-/// refresh — the "store its mean user vector at the training stage"
-/// deployment shape of the paper's real-time engine.
-///
-/// Built on [`SwapCell`]: a score or snapshot is one refcount bump (the
-/// mean-vector matrix is never copied), and a publish is one pointer swap,
-/// so readers never wait behind an index rebuild.
-#[derive(Debug)]
-pub struct ServingIndex {
-    inner: SwapCell<PopularityIndex>,
-}
-
-impl ServingIndex {
-    /// Wraps an index for concurrent use.
-    pub fn new(index: PopularityIndex) -> Self {
-        ServingIndex { inner: SwapCell::new(index) }
-    }
-
-    /// Scores one item vector against the currently published index.
-    pub fn score(&self, item_vec: &[f32]) -> f32 {
-        self.inner.load().score_vector(item_vec)
-    }
-
-    /// Atomically replaces the published index.
-    pub fn publish(&self, index: PopularityIndex) {
-        self.inner.publish(index);
-    }
-
-    /// A zero-copy snapshot of the current index; stays valid (and
-    /// unchanged) across later publishes.
-    pub fn snapshot(&self) -> Arc<PopularityIndex> {
-        self.inner.load()
-    }
-}
-
 fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -283,33 +245,6 @@ mod tests {
             let parallel = pairwise_popularity_parallel(&model, &data, &items, &group, threads);
             assert_eq!(parallel, serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn serving_index_hot_swaps() {
-        let (model, data) = trained();
-        let group: Vec<u32> = (0..32).collect();
-        let index = PopularityIndex::build(&model, &data, &group);
-        let serving = ServingIndex::new(index.clone());
-        let item = model.item_vectors_generated(&data.encode_item_profiles(&[0])).row(0).to_vec();
-        let before = serving.score(&item);
-        assert_eq!(before, index.score_vector(&item));
-        // Publish a different index (other user group) and observe change.
-        let other = PopularityIndex::build(&model, &data, &(32..80).collect::<Vec<_>>());
-        let pre_swap = serving.snapshot();
-        serving.publish(other.clone());
-        assert_eq!(serving.score(&item), other.score_vector(&item));
-        assert_eq!(*serving.snapshot(), other);
-        assert_eq!(*pre_swap, index, "old snapshots survive a publish unchanged");
-    }
-
-    #[test]
-    fn snapshots_share_storage_between_publishes() {
-        let (model, data) = trained();
-        let serving = ServingIndex::new(PopularityIndex::build(&model, &data, &[0, 1, 2]));
-        let a = serving.snapshot();
-        let b = serving.snapshot();
-        assert!(Arc::ptr_eq(&a, &b), "snapshot must be a refcount bump, not a copy");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use atnn_core::{gather_batch, Atnn, AtnnConfig};
 use atnn_data::tmall::{TmallConfig, TmallDataset};
@@ -24,6 +25,11 @@ struct CountingAlloc;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads: each test holds this for its whole body so one test's warmup
+/// never lands in the other's measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -66,6 +72,7 @@ const MEASURED_STEPS: usize = 10;
 
 #[test]
 fn steady_state_train_step_stays_within_alloc_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // The observability layer must be free when no active sink is
     // installed: a NullSink reports `active() == false`, so the hub stays
     // disabled and every producer's telemetry path is one atomic load —
@@ -106,6 +113,7 @@ fn steady_state_train_step_stays_within_alloc_budget() {
 
 #[test]
 fn repeated_steps_do_not_grow_allocation_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // Second invariant: the per-step count is *flat* — later steps must
     // not allocate more than early post-warmup steps (a slow leak or an
     // arena that stops recycling shows up as growth before it shows up

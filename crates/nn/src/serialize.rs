@@ -1,16 +1,12 @@
 //! Checkpointing: save/load a whole [`ParamStore`] as a binary blob.
 //!
-//! Layout (format version 2): magic `b"ATNN"`, `u32` version, `u64` slot
-//! count, `u64` total scalar count, `u64` FNV-1a checksum of the payload,
-//! then per slot a length-prefixed UTF-8 name followed by an `atnn-tensor`
-//! matrix record. The checksum catches truncated or bit-flipped blobs
-//! *before* any weight is overwritten; the slot/scalar counts catch
-//! architecture drift cheaply, and the per-slot name/shape comparison
-//! catches it precisely.
-//!
-//! Version-1 blobs (no scalar count, no checksum) produced by earlier
-//! builds still load through a legacy fallback; saving always writes the
-//! current version.
+//! Layout (format version 2, the only one accepted): magic `b"ATNN"`,
+//! `u32` version, `u64` slot count, `u64` total scalar count, `u64` FNV-1a
+//! checksum of the payload, then per slot a length-prefixed UTF-8 name
+//! followed by an `atnn-tensor` matrix record. The checksum catches
+//! truncated or bit-flipped blobs *before* any weight is overwritten; the
+//! slot/scalar counts catch architecture drift cheaply, and the per-slot
+//! name/shape comparison catches it precisely.
 
 use std::fmt;
 
@@ -19,10 +15,8 @@ use atnn_tensor::{decode_matrix, encode_matrix, TensorError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"ATNN";
-/// Current checkpoint format: counts + checksum header.
+/// The checkpoint format: counts + checksum header.
 const VERSION: u32 = 2;
-/// First format: magic, version, slot count, records — no integrity check.
-const LEGACY_VERSION: u32 = 1;
 
 /// Errors from checkpoint (de)serialization.
 #[derive(Debug)]
@@ -100,15 +94,14 @@ pub fn save_store(store: &ParamStore) -> Bytes {
 }
 
 /// Restores parameter values into an existing store built by the same
-/// model-construction code. Accepts the current format and the legacy
-/// version-1 layout.
+/// model-construction code.
 ///
 /// # Errors
 /// Fails when the buffer is corrupt (bad magic/version, truncation,
 /// checksum mismatch) or when the slot names/shapes do not match the store
 /// exactly. The store is untouched on any header or checksum failure.
 pub fn load_store(store: &mut ParamStore, mut buf: Bytes) -> Result<(), NnError> {
-    if buf.remaining() < 16 {
+    if buf.remaining() < 8 {
         return Err(NnError::Corrupt("header truncated"));
     }
     let mut magic = [0u8; 4];
@@ -116,31 +109,24 @@ pub fn load_store(store: &mut ParamStore, mut buf: Bytes) -> Result<(), NnError>
     if &magic != MAGIC {
         return Err(NnError::Corrupt("bad magic"));
     }
-    let version = buf.get_u32_le();
+    if buf.get_u32_le() != VERSION {
+        return Err(NnError::Corrupt("unsupported version"));
+    }
+    if buf.remaining() < 24 {
+        return Err(NnError::Corrupt("header truncated"));
+    }
     let count = buf.get_u64_le() as usize;
-    match version {
-        LEGACY_VERSION => {}
-        VERSION => {
-            if buf.remaining() < 16 {
-                return Err(NnError::Corrupt("header truncated"));
-            }
-            let scalars = buf.get_u64_le() as usize;
-            let expected = buf.get_u64_le();
-            let actual = fnv1a64(&buf);
-            if actual != expected {
-                return Err(NnError::Checksum { expected, actual });
-            }
-            if scalars != store.num_scalars() {
-                return Err(NnError::Mismatch(format!(
-                    "checkpoint has {scalars} scalars, store has {}",
-                    store.num_scalars()
-                )));
-            }
-        }
-        v => {
-            let _ = v;
-            return Err(NnError::Corrupt("unsupported version"));
-        }
+    let scalars = buf.get_u64_le() as usize;
+    let expected = buf.get_u64_le();
+    let actual = fnv1a64(&buf);
+    if actual != expected {
+        return Err(NnError::Checksum { expected, actual });
+    }
+    if scalars != store.num_scalars() {
+        return Err(NnError::Mismatch(format!(
+            "checkpoint has {scalars} scalars, store has {}",
+            store.num_scalars()
+        )));
     }
     if count != store.len() {
         return Err(NnError::Mismatch(format!(
@@ -192,12 +178,12 @@ mod tests {
         (store, mlp)
     }
 
-    /// Re-encodes a current blob in the legacy v1 layout (no scalar count,
-    /// no checksum) — the format earlier builds wrote to disk.
+    /// Re-encodes a current blob in the retired v1 layout (no scalar
+    /// count, no checksum) — the format the first builds wrote to disk.
     fn downgrade_to_v1(blob: &Bytes) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
-        buf.put_u32_le(LEGACY_VERSION);
+        buf.put_u32_le(1);
         buf.put_slice(&blob[8..16]); // slot count
         buf.put_slice(&blob[32..]); // payload, skipping scalar count + checksum
         buf.freeze()
@@ -219,14 +205,24 @@ mod tests {
         }
     }
 
+    /// The v1 loader wrote slots as it parsed them, with no checksum in
+    /// front; a v1 blob must now be refused by its version, whole or
+    /// truncated, before a single weight changes.
     #[test]
-    fn legacy_v1_blob_still_loads() {
+    fn v1_blob_is_rejected_and_leaves_the_store_unchanged() {
         let (store_a, _) = build_store(1);
         let v1 = downgrade_to_v1(&save_store(&store_a));
         let (mut store_b, _) = build_store(2);
-        load_store(&mut store_b, v1).unwrap();
-        for id in store_a.all_ids() {
-            assert_eq!(store_a.value(id), store_b.value(id));
+        let before = save_store(&store_b);
+        for cut in [v1.len(), v1.len() - 1, 9] {
+            assert!(
+                matches!(
+                    load_store(&mut store_b, v1.slice(0..cut)),
+                    Err(NnError::Corrupt("unsupported version"))
+                ),
+                "cut={cut}"
+            );
+            assert_eq!(save_store(&store_b), before, "cut={cut}: a rejected load wrote weights");
         }
     }
 
@@ -297,18 +293,6 @@ mod tests {
         let mut fresh = ParamStore::new();
         fresh.add("w", Matrix::zeros(2, 2));
         assert!(load_store(&mut fresh, Bytes::from_static(b"XXXXxxxxyyyyzzzz")).is_err());
-    }
-
-    #[test]
-    fn truncated_legacy_blob_is_rejected() {
-        let mut store = ParamStore::new();
-        store.add("w", Matrix::zeros(2, 2));
-        let v1 = downgrade_to_v1(&save_store(&store));
-        for cut in [0usize, 3, 9, v1.len() - 1] {
-            let mut fresh = ParamStore::new();
-            fresh.add("w", Matrix::zeros(2, 2));
-            assert!(load_store(&mut fresh, v1.slice(0..cut)).is_err(), "cut={cut}");
-        }
     }
 
     #[test]

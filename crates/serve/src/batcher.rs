@@ -1,15 +1,18 @@
-//! The micro-batcher: coalesces concurrent scoring requests into batched
-//! forward passes.
+//! The micro-batcher: coalesces concurrent scoring requests into batches
+//! answered from one model snapshot.
 //!
 //! The event loop `submit_with`s jobs into a bounded queue; one batch
 //! worker per shard drains it, packing jobs into a batch until the batch
 //! is full, the flush deadline since the batch's first job expires, or (in
 //! the default eager mode) the queue runs dry. Each flush grabs **one**
-//! model snapshot from the shard's [`SwapCell`] and runs at most one
-//! forward pass per scoring path, so a 64-request burst costs two matmul
-//! dispatches instead of 64 — the "batching requests pays for itself
-//! immediately" lesson of the 300M-predictions/s paper — and every job in
-//! a flush is answered by a single consistent model version.
+//! model snapshot from the shard's [`SwapCell`] and answers every job from
+//! its cached tables — a row lookup and a dot per item, one index probe per
+//! retrieval job; the towers run at publish, never on the request path —
+//! in at most one pass per scoring path. A 64-request burst therefore
+//! costs one worker wakeup, one snapshot load and two passes instead of 64
+//! of each — the "batching requests pays for itself immediately" lesson of
+//! the 300M-predictions/s paper — and every job in a flush is answered by
+//! a single consistent model version.
 //!
 //! Replies are delivered by invoking the job's completion closure on the
 //! worker thread. The event-driven front hands in a closure that buffers
@@ -38,7 +41,7 @@ use crate::telemetry::Telemetry;
 
 /// What a queued job is answered with: the scores, or a description of why
 /// the batch worker could not score it (out-of-range ids for the snapshot
-/// the batch ran against, or a panicked forward pass).
+/// the batch ran against, or a panic while scoring).
 pub type BatchReply = Result<Vec<f32>, String>;
 
 /// A job's completion closure. Invoked exactly once, on the batch worker
@@ -57,7 +60,7 @@ pub type ProbeReplyFn = Box<dyn FnOnce(ProbeReply) + Send>;
 
 /// One queued request.
 enum Job {
-    /// Batched forward-pass scoring of explicit items.
+    /// Batched scoring of explicit items.
     Score { path: ScorePath, items: Vec<u32>, reply: ReplyFn },
     /// Catalogue-wide ANN retrieval over this shard's slice of the
     /// catalogue (probe width comes from `ServeConfig::nprobe`).
@@ -317,15 +320,15 @@ fn collect_batch(shared: &Shared) -> Vec<Job> {
     }
 }
 
-/// Scores one packed batch: one snapshot, at most one forward pass per
+/// Scores one packed batch: one snapshot, at most one table pass per
 /// path, replies split back per job in submission order.
 ///
 /// The snapshot is grabbed here, so ids are re-validated against *its*
 /// item space — the server validated against the boot snapshot, and even
 /// though the manager refuses to publish a differently-sized catalogue,
 /// a job with out-of-range ids must answer with an error rather than
-/// panic the worker. The forward passes run under `catch_unwind` for the
-/// same reason: a panicking pass fails its batch, not the whole shard
+/// panic the worker. Scoring runs under `catch_unwind` for the same
+/// reason: a panicking pass fails its batch, not the whole shard
 /// (a dead worker would leave queued jobs blocking their connections
 /// forever).
 fn execute_batch(shared: &Shared, batch: Vec<Job>) {
@@ -393,7 +396,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
     let (cold_scores, warm_scores, probed) = match executed {
         Ok(results) => results,
         Err(_) => {
-            let panic_msg = format!("forward pass panicked on model v{}", snapshot.version);
+            let panic_msg = format!("scoring panicked on model v{}", snapshot.version);
             for (_, _, reply) in score_jobs {
                 reply(Err(panic_msg.clone()));
             }

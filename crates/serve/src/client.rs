@@ -4,11 +4,14 @@
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{read_frame, write_frame, ProtocolError, Request, Response, StatsReport};
+use crate::protocol::{
+    write_frame, FrameRead, FrameReader, ProtocolError, Request, Response, StatsReport,
+};
 
 /// One connection speaking the length-prefixed binary protocol.
 pub struct ServeClient {
     stream: TcpStream,
+    reader: FrameReader,
 }
 
 impl ServeClient {
@@ -16,15 +19,16 @@ impl ServeClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(ServeClient { stream })
+        Ok(ServeClient { stream, reader: FrameReader::new() })
     }
 
     /// Sends one request and reads its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
         write_frame(&mut self.stream, &request.encode())?;
-        match read_frame(&mut self.stream)? {
-            Some(payload) => Response::decode(payload),
-            None => Err(ProtocolError::Io(io::Error::new(
+        match self.reader.read_frame(&mut self.stream)? {
+            FrameRead::Frame(payload) => Response::decode(payload),
+            FrameRead::Idle => Err(ProtocolError::Io(io::ErrorKind::TimedOut.into())),
+            FrameRead::Eof => Err(ProtocolError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection mid-request",
             ))),

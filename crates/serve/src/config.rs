@@ -12,7 +12,9 @@ use crate::manager::Precision;
 pub struct ServeConfig {
     /// Bind address. Port 0 picks an ephemeral port (tests, loadgen).
     pub addr: String,
-    /// Maximum items coalesced into one batched forward pass.
+    /// Maximum items coalesced into one batch: the jobs one flush answers
+    /// from a single snapshot load (cached-row dots and index probes — no
+    /// model forward pass runs on the request path).
     pub max_batch: usize,
     /// Maximum items a single request may carry (larger requests are
     /// answered with an `Error` instead of monopolizing the batcher).

@@ -11,8 +11,8 @@
 //!   `RecordInteractions`, `TopK`, `TopKAll`) in which `f32` scores travel
 //!   bit-exact.
 //! - [`batcher`]: a bounded micro-batching queue that coalesces concurrent
-//!   requests into shared forward passes and sheds (`Overloaded`) instead
-//!   of blocking when full.
+//!   requests into batches scored from one snapshot's cached tables and
+//!   sheds (`Overloaded`) instead of blocking when full.
 //! - [`shard`]: the item-sharded scoring fleet — one batcher + snapshot
 //!   cell per catalogue shard, with scatter-gather merging at the front.
 //! - [`manager`]: versioned model snapshots behind an atomic swap — hot

@@ -13,11 +13,11 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use atnn_ann::{IvfFlatIndex, IvfParams, Retriever};
+use atnn_ann::{ItemPool, IvfFlatIndex, IvfParams, PoolQuery, Retriever};
 use atnn_core::{ArtifactError, Atnn, ModelArtifact, PopularityIndex, QuantTables};
 use atnn_data::tmall::TmallDataset;
 use atnn_obs::{Counter, Gauge};
-use atnn_tensor::{CowMatrix, CowQuantMatrix, Matrix, PreparedQuery, QuantizedMatrix, SwapCell};
+use atnn_tensor::{CowMatrix, CowQuantMatrix, Matrix, QuantizedMatrix, SwapCell};
 
 /// Wall-clock seconds the most recent snapshot build spent precomputing
 /// embedding caches and the ANN index, full or delta (set by
@@ -100,49 +100,6 @@ pub enum Precision {
     Int8,
 }
 
-/// The cached item-tower tables in one of the two representations.
-///
-/// Both representations are chunked copy-on-write tables
-/// ([`CowMatrix`]/[`CowQuantMatrix`]): rows live in `Arc`'d blocks of
-/// [`atnn_tensor::COW_CHUNK_ROWS`] rows, so a delta publish clones only
-/// the chunks holding changed rows and shares the rest with the previous
-/// snapshot by refcount. Under [`Precision::Int8`] the f32 matrices are
-/// dropped after the ANN index is built — only the quantized codes stay
-/// resident — and the mean-user-vector query is pre-quantized once per
-/// table (the cold and warm tables have different anchors, so each needs
-/// its own [`PreparedQuery`]).
-#[derive(Debug)]
-enum Tables {
-    F32 {
-        cold: Arc<CowMatrix>,
-        warm: Arc<CowMatrix>,
-    },
-    Int8 {
-        cold: Arc<CowQuantMatrix>,
-        warm: Arc<CowQuantMatrix>,
-        cold_query: PreparedQuery,
-        warm_query: PreparedQuery,
-    },
-}
-
-impl Tables {
-    /// Bytes the tables occupy as served.
-    fn storage_bytes(&self) -> usize {
-        match self {
-            Tables::F32 { cold, warm } => (cold.len() + warm.len()) * 4,
-            Tables::Int8 { cold, warm, .. } => cold.storage_bytes() + warm.storage_bytes(),
-        }
-    }
-
-    /// Bytes the same tables would occupy as raw f32.
-    fn f32_bytes(&self) -> usize {
-        match self {
-            Tables::F32 { cold, warm } => (cold.len() + warm.len()) * 4,
-            Tables::Int8 { cold, warm, .. } => cold.f32_bytes() + warm.f32_bytes(),
-        }
-    }
-}
-
 /// One immutable, consistently-versioned serving state.
 ///
 /// Construction precomputes both item-tower embedding matrices once per
@@ -167,10 +124,14 @@ pub struct ModelSnapshot {
     pub index: PopularityIndex,
     /// Cached item-tower tables: generator (cold-path) and full-encoder
     /// (warm-path) vectors, row id == item id, in the publish-time
-    /// precision. Item statistics are frozen per snapshot
-    /// (`RecordInteractions` feeds the policy router, not the feature
-    /// store), so these cannot go stale.
-    tables: Tables,
+    /// precision. Both are chunked copy-on-write tables (rows live in
+    /// `Arc`'d blocks of [`atnn_tensor::COW_CHUNK_ROWS`]), so a delta
+    /// publish clones only the chunks holding changed rows and shares the
+    /// rest with the previous snapshot by refcount. Item statistics are
+    /// frozen per snapshot (`RecordInteractions` feeds the policy router,
+    /// not the feature store), so these cannot go stale.
+    cold: Served,
+    warm: Served,
     /// IVF-flat index over the cold table — catalogue-wide TopK retrieval
     /// shares the new-arrival ranking semantics of the O(1) index.
     ann: IvfFlatIndex,
@@ -178,8 +139,53 @@ pub struct ModelSnapshot {
     build_seconds: f64,
 }
 
+/// One served table with the mean user vector readied for it once per
+/// publish (the int8 cold and warm tables have different anchors, so each
+/// needs its own prepared query).
+#[derive(Debug)]
+struct Served {
+    pool: ItemPool,
+    query: PoolQuery,
+}
+
+impl Served {
+    fn new(pool: ItemPool, index: &PopularityIndex) -> Self {
+        let query = pool.prepare(index.mean_user_vec());
+        Served { pool, query }
+    }
+
+    /// `σ(dot + bias)` of each item's cached row against the mean user
+    /// vector — by definition what `PopularityIndex::score_vector` gives
+    /// for the same f32 row.
+    fn score(&self, index: &PopularityIndex, items: &[u32]) -> Vec<f32> {
+        items.iter().map(|&i| index.score_from_dot(self.pool.dot(i, &self.query))).collect()
+    }
+}
+
 /// Batch width for server-side forward passes.
 const BATCH: usize = 512;
+
+/// Cold (generator) and warm (full-encoder) item vectors of `ids`, one
+/// row per id, in batched forward passes. Forward passes are row-wise
+/// and batch-size invariant (single accumulator per output element,
+/// ascending k), so a row comes out bit-equal whichever ids share its
+/// batch — a delta's re-embed matches a whole-catalogue build.
+fn embed(data: &TmallDataset, model: &Atnn, ids: &[u32]) -> (Matrix, Matrix) {
+    let dim = model.config().vec_dim;
+    let mut cold = Matrix::zeros(ids.len(), dim);
+    let mut warm = Matrix::zeros(ids.len(), dim);
+    for (c, chunk) in ids.chunks(BATCH).enumerate() {
+        let profile = data.encode_item_profiles(chunk);
+        let stats = data.encode_item_stats(chunk);
+        let cold_chunk = model.item_vectors_generated(&profile);
+        let warm_chunk = model.item_vectors_full(&profile, &stats);
+        for i in 0..chunk.len() {
+            cold.row_mut(c * BATCH + i).copy_from_slice(cold_chunk.row(i));
+            warm.row_mut(c * BATCH + i).copy_from_slice(warm_chunk.row(i));
+        }
+    }
+    (cold, warm)
+}
 
 /// Cumulative assignment-drift fraction past which a delta publish
 /// re-runs the k-means build instead of keeping the frozen centroids.
@@ -281,7 +287,7 @@ impl ModelSnapshot {
     /// ANN index when present and valid (otherwise building at load). An
     /// artifact carrying publish-time quantized tables comes back as an
     /// [`Precision::Int8`] snapshot serving the publisher's exact codes;
-    /// anything older (or unquantized) loads as f32.
+    /// one without them loads as f32.
     pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, ArtifactError> {
         let precision = if artifact.quant().is_some() { Precision::Int8 } else { Precision::F32 };
         Self::from_artifact_with_precision(artifact, precision)
@@ -290,16 +296,13 @@ impl ModelSnapshot {
     /// Rebuilds a snapshot from an artifact at an explicit precision —
     /// e.g. quantized serving from a plain f32 artifact (the tables are
     /// quantized at load, deterministically identical to publish-time
-    /// quantization of the same weights).
+    /// quantization of the same weights). Persisted codes are only read
+    /// under [`Precision::Int8`].
     pub fn from_artifact_with_precision(
         artifact: &ModelArtifact,
         precision: Precision,
     ) -> Result<Self, ArtifactError> {
         let live = artifact.instantiate()?;
-        let quant = match precision {
-            Precision::Int8 => artifact.quant(),
-            Precision::F32 => None,
-        };
         Ok(Self::assemble(
             live.version,
             Arc::new(live.data),
@@ -307,7 +310,7 @@ impl ModelSnapshot {
             live.index,
             artifact.ann(),
             precision,
-            quant,
+            artifact.quant(),
         ))
     }
 
@@ -322,81 +325,64 @@ impl ModelSnapshot {
     ) -> Self {
         let started = Instant::now();
         let n = data.num_items();
-        let dim = model.config().vec_dim;
-        let mut cold = Matrix::zeros(n, dim);
-        let mut warm = Matrix::zeros(n, dim);
         let ids: Vec<u32> = (0..n as u32).collect();
-        for (c, chunk) in ids.chunks(BATCH).enumerate() {
-            let profile = data.encode_item_profiles(chunk);
-            let stats = data.encode_item_stats(chunk);
-            let cold_chunk = model.item_vectors_generated(&profile);
-            let warm_chunk = model.item_vectors_full(&profile, &stats);
-            for i in 0..chunk.len() {
-                cold.row_mut(c * BATCH + i).copy_from_slice(cold_chunk.row(i));
-                warm.row_mut(c * BATCH + i).copy_from_slice(warm_chunk.row(i));
-            }
-        }
-        let cold_vecs = Arc::new(cold);
-        let warm_vecs = Arc::new(warm);
-        let (tables, ann) = match precision {
-            Precision::F32 => {
-                // A persisted index is adopted only if it decodes cleanly
-                // against the freshly computed embeddings; anything else
-                // falls back to a build-at-load. The build is
-                // deterministic, so both routes yield bit-identical
-                // retrieval.
-                let cold_cow = Arc::new(CowMatrix::from_matrix(&cold_vecs));
-                let warm_cow = Arc::new(CowMatrix::from_matrix(&warm_vecs));
-                // The index is built (or decoded) over the contiguous
-                // vectors, then re-pointed at the chunked table so delta
-                // publishes can share unmodified chunks; row bytes are
-                // identical either way, so scoring is unchanged.
-                let ann = ann_blob
-                    .and_then(|blob| IvfFlatIndex::decode(blob, Arc::clone(&cold_vecs)).ok())
-                    .unwrap_or_else(|| {
-                        IvfFlatIndex::build(Arc::clone(&cold_vecs), IvfParams::for_items(n))
-                    })
-                    .with_pool(Arc::clone(&cold_cow))
-                    .expect("chunked table mirrors the embeddings it was built from");
-                (Tables::F32 { cold: cold_cow, warm: warm_cow }, ann)
-            }
+        let (cold_vecs, warm_vecs) = embed(&data, &model, &ids);
+        let cold_vecs = Arc::new(cold_vecs);
+        // The one place a table takes its served form. Either way it is
+        // cut into copy-on-write chunks so delta publishes can share the
+        // unmodified ones.
+        let (cold, warm): (ItemPool, ItemPool) = match precision {
+            Precision::F32 => (
+                Arc::new(CowMatrix::from_matrix(&cold_vecs)).into(),
+                Arc::new(CowMatrix::from_matrix(&warm_vecs)).into(),
+            ),
             Precision::Int8 => {
                 // Persisted tables are adopted only at the right shape;
                 // otherwise quantize the vectors just computed (same
                 // deterministic result when the weights match).
-                let adopt =
-                    |t: &QuantizedMatrix| (t.rows() == n && t.cols() == dim).then(|| t.clone());
-                let cold_q = quant
-                    .and_then(|q| adopt(&q.cold))
-                    .unwrap_or_else(|| QuantizedMatrix::from_matrix(&cold_vecs));
-                let warm_q = quant
-                    .and_then(|q| adopt(&q.warm))
-                    .unwrap_or_else(|| QuantizedMatrix::from_matrix(&warm_vecs));
-                let cold_q = Arc::new(CowQuantMatrix::from_quantized(&cold_q));
-                let warm_q = Arc::new(CowQuantMatrix::from_quantized(&warm_q));
-                // The IVF structure (k-means centroids, inverted lists) is
-                // built or decoded over the exact f32 vectors, then
-                // re-pointed at the int8 codes; the f32 pool is dropped
-                // with `cold_vecs`/`warm_vecs` at the end of this scope.
-                let ann = ann_blob
-                    .and_then(|blob| IvfFlatIndex::decode(blob, Arc::clone(&cold_vecs)).ok())
-                    .unwrap_or_else(|| {
-                        IvfFlatIndex::build(Arc::clone(&cold_vecs), IvfParams::for_items(n))
-                    })
-                    .with_pool(Arc::clone(&cold_q))
-                    .expect("quantized pool matches the embeddings it was quantized from");
-                let cold_query = cold_q.prepare(index.mean_user_vec());
-                let warm_query = warm_q.prepare(index.mean_user_vec());
-                (Tables::Int8 { cold: cold_q, warm: warm_q, cold_query, warm_query }, ann)
+                let table = |persisted: Option<&QuantizedMatrix>, vecs: &Matrix| -> ItemPool {
+                    let chunked = persisted
+                        .filter(|t| (t.rows(), t.cols()) == vecs.shape())
+                        .map(CowQuantMatrix::from_quantized)
+                        .unwrap_or_else(|| {
+                            CowQuantMatrix::from_quantized(&QuantizedMatrix::from_matrix(vecs))
+                        });
+                    Arc::new(chunked).into()
+                };
+                (
+                    table(quant.map(|q| &q.cold), &cold_vecs),
+                    table(quant.map(|q| &q.warm), &warm_vecs),
+                )
             }
         };
+        // The IVF structure (k-means centroids, inverted lists) is built
+        // or decoded over the exact contiguous f32 vectors — adopted as a
+        // one-chunk pool, not copied — then re-pointed at the served
+        // table; the contiguous vectors are dropped at the end of this
+        // scope. A persisted index is adopted only if it decodes cleanly
+        // against the freshly computed embeddings; the build is
+        // deterministic, so both routes yield bit-identical retrieval.
+        let ann = ann_blob
+            .and_then(|blob| IvfFlatIndex::decode(blob, Arc::clone(&cold_vecs)).ok())
+            .unwrap_or_else(|| IvfFlatIndex::build(Arc::clone(&cold_vecs), IvfParams::for_items(n)))
+            .with_pool(cold.clone())
+            .expect("served table mirrors the embeddings it was built from");
+        let (cold, warm) = (Served::new(cold, &index), Served::new(warm, &index));
         let build_seconds = started.elapsed().as_secs_f64();
-        SNAPSHOT_BUILD_SECONDS.set(build_seconds);
-        SNAPSHOT_BUILD_FULL_SECONDS.set(build_seconds);
-        PUBLISHES_FULL.incr();
-        SNAPSHOT_BYTES.set(tables.storage_bytes() as f64);
-        SNAPSHOT_F32_BYTES.set(tables.f32_bytes() as f64);
-        ModelSnapshot { version, data, model, index, tables, ann, build_seconds }
+        let snapshot =
+            ModelSnapshot { version, data, model, index, cold, warm, ann, build_seconds };
+        snapshot.record_build(&SNAPSHOT_BUILD_FULL_SECONDS, &PUBLISHES_FULL);
+        snapshot
+    }
+
+    /// Publishes this build's cost and table sizes to the process gauges;
+    /// `seconds` and `count` are the full- or delta-build pair.
+    fn record_build(&self, seconds: &Gauge, count: &Counter) {
+        SNAPSHOT_BUILD_SECONDS.set(self.build_seconds);
+        seconds.set(self.build_seconds);
+        count.incr();
+        SNAPSHOT_BYTES.set(self.snapshot_bytes() as f64);
+        SNAPSHOT_F32_BYTES.set(self.snapshot_f32_bytes() as f64);
     }
 
     /// Builds a snapshot *incrementally* from `prev`: only the rows in
@@ -411,10 +397,9 @@ impl ModelSnapshot {
     /// frozen-structure full recompute — same k-means centroids, same
     /// quantization anchor — whose inputs differ from `prev` only on
     /// `changed`. Re-embedding is row-local (the GEMM is batch-invariant),
-    /// re-quantization is row-local (PR 8's anchored per-row affine
-    /// codes), and frozen-centroid re-assignment of an unchanged row
-    /// re-derives its existing list, so skipping unchanged rows changes
-    /// nothing.
+    /// re-quantization is row-local (anchored per-row affine codes), and
+    /// frozen-centroid re-assignment of an unchanged row re-derives its
+    /// existing list, so skipping unchanged rows changes nothing.
     ///
     /// Frozen centroids drift away from the data as deltas accumulate;
     /// once the cumulative fraction of moved assignments exceeds
@@ -440,23 +425,7 @@ impl ModelSnapshot {
         if let Some(&id) = ids.iter().find(|&&id| id as usize >= n) {
             return Err(DeltaError::IdOutOfRange { id, num_items: n });
         }
-
-        // One batched re-embed over the changed ids only. Forward passes
-        // are row-wise and batch-size invariant (single accumulator per
-        // output element, ascending k), so each row comes out bit-equal
-        // to its position in a whole-catalogue build.
-        let mut delta_cold = Matrix::zeros(ids.len(), dim);
-        let mut delta_warm = Matrix::zeros(ids.len(), dim);
-        for (c, chunk) in ids.chunks(BATCH).enumerate() {
-            let profile = prev.data.encode_item_profiles(chunk);
-            let stats = prev.data.encode_item_stats(chunk);
-            let cold_chunk = model.item_vectors_generated(&profile);
-            let warm_chunk = model.item_vectors_full(&profile, &stats);
-            for i in 0..chunk.len() {
-                delta_cold.row_mut(c * BATCH + i).copy_from_slice(cold_chunk.row(i));
-                delta_warm.row_mut(c * BATCH + i).copy_from_slice(warm_chunk.row(i));
-            }
-        }
+        let (delta_cold, delta_warm) = embed(&prev.data, &model, &ids);
 
         // Frozen-centroid re-assignment of the changed vectors, tracked
         // against the drift budget. The index clone is cheap relative to
@@ -465,67 +434,30 @@ impl ModelSnapshot {
         let moved = ann.reassign(&ids, &delta_cold);
         let rebuild = ann.drift_fraction() > DRIFT_REBUILD_FRACTION;
 
-        let (tables, ann) = match &prev.tables {
-            Tables::F32 { cold, warm } => {
-                let mut new_cold = (**cold).clone();
-                let mut new_warm = (**warm).clone();
-                new_cold.update_rows(&ids, &delta_cold);
-                new_warm.update_rows(&ids, &delta_warm);
-                let new_cold = Arc::new(new_cold);
-                let ann = if rebuild {
-                    IvfFlatIndex::build(Arc::new(new_cold.to_matrix()), *prev.ann.params())
-                } else {
-                    ann
-                }
-                .with_pool(Arc::clone(&new_cold))
-                .expect("updated table keeps the indexed shape");
-                (Tables::F32 { cold: new_cold, warm: Arc::new(new_warm) }, ann)
-            }
-            Tables::Int8 { cold, warm, .. } => {
-                // Row-local re-quantization: each row's codes depend only
-                // on the row and the (frozen) shared anchor, so changed
-                // rows re-quantize in place, exactly.
-                let mut new_cold = (**cold).clone();
-                let mut new_warm = (**warm).clone();
-                new_cold.requantize_rows(&ids, &delta_cold);
-                new_warm.requantize_rows(&ids, &delta_warm);
-                let new_cold = Arc::new(new_cold);
-                let new_warm = Arc::new(new_warm);
-                let ann = if rebuild {
-                    // Re-train k-means over the codes' dequantized form —
-                    // the only f32 view that exists once the tables are
-                    // int8 — then serve re-ranks from the codes as usual.
-                    IvfFlatIndex::build(Arc::new(new_cold.dequantize()), *prev.ann.params())
-                } else {
-                    ann
-                }
-                .with_pool(Arc::clone(&new_cold))
-                .expect("updated codes keep the indexed shape");
-                let cold_query = new_cold.prepare(index.mean_user_vec());
-                let warm_query = new_warm.prepare(index.mean_user_vec());
-                (Tables::Int8 { cold: new_cold, warm: new_warm, cold_query, warm_query }, ann)
-            }
-        };
+        // Patch the changed rows in place; each row's stored form depends
+        // only on the row (and, for int8, the frozen shared anchor), so
+        // this is exact in either precision.
+        let (mut cold, mut warm) = (prev.cold.pool.clone(), prev.warm.pool.clone());
+        cold.update_rows(&ids, &delta_cold);
+        warm.update_rows(&ids, &delta_warm);
+        if rebuild {
+            // Re-train k-means over the table's f32 form — for int8 the
+            // dequantized codes, the only f32 view that exists there —
+            // then serve re-ranks from the table as usual.
+            ann = IvfFlatIndex::build(Arc::new(cold.to_f32()), *prev.ann.params());
+        }
+        let ann = ann.with_pool(cold.clone()).expect("updated table keeps the indexed shape");
 
+        let (cold, warm) = (Served::new(cold, &index), Served::new(warm, &index));
+        let data = Arc::clone(&prev.data);
         let build_seconds = started.elapsed().as_secs_f64();
-        SNAPSHOT_BUILD_SECONDS.set(build_seconds);
-        SNAPSHOT_BUILD_DELTA_SECONDS.set(build_seconds);
-        PUBLISHES_DELTA.incr();
-        SNAPSHOT_BYTES.set(tables.storage_bytes() as f64);
-        SNAPSHOT_F32_BYTES.set(tables.f32_bytes() as f64);
+        let snapshot =
+            ModelSnapshot { version, data, model, index, cold, warm, ann, build_seconds };
+        snapshot.record_build(&SNAPSHOT_BUILD_DELTA_SECONDS, &PUBLISHES_DELTA);
         let report = DeltaReport {
             changed: ids.len(),
             moved_lists: moved,
             index_rebuilt: rebuild,
-            build_seconds,
-        };
-        let snapshot = ModelSnapshot {
-            version,
-            data: Arc::clone(&prev.data),
-            model,
-            index,
-            tables,
-            ann,
             build_seconds,
         };
         Ok((snapshot, report))
@@ -539,29 +471,13 @@ impl ModelSnapshot {
     /// Cold path: the cached generator vector's O(1) dot against the
     /// stored mean user vector (int8 kernel under [`Precision::Int8`]).
     pub fn score_cold(&self, items: &[u32]) -> Vec<f32> {
-        match &self.tables {
-            Tables::F32 { cold, .. } => {
-                items.iter().map(|&i| self.index.score_vector(cold.row(i as usize))).collect()
-            }
-            Tables::Int8 { cold, cold_query, .. } => items
-                .iter()
-                .map(|&i| self.index.score_from_dot(cold.dot_prepared(i as usize, cold_query)))
-                .collect(),
-        }
+        self.cold.score(&self.index, items)
     }
 
     /// Warm path: the cached full-encoder vector's dot against the same
     /// mean user vector.
     pub fn score_warm(&self, items: &[u32]) -> Vec<f32> {
-        match &self.tables {
-            Tables::F32 { warm, .. } => {
-                items.iter().map(|&i| self.index.score_vector(warm.row(i as usize))).collect()
-            }
-            Tables::Int8 { warm, warm_query, .. } => items
-                .iter()
-                .map(|&i| self.index.score_from_dot(warm.dot_prepared(i as usize, warm_query)))
-                .collect(),
-        }
+        self.warm.score(&self.index, items)
     }
 
     /// Catalogue-wide top-`k` retrieval in **raw dot space** (best first,
@@ -589,47 +505,39 @@ impl ModelSnapshot {
     /// [`Precision::Int8`] snapshot — the f32 rows are dropped after
     /// quantization; use [`ModelSnapshot::quant_tables`] there instead.
     pub fn cold_vecs(&self) -> Option<&Arc<CowMatrix>> {
-        match &self.tables {
-            Tables::F32 { cold, .. } => Some(cold),
-            Tables::Int8 { .. } => None,
-        }
+        self.cold.pool.as_f32()
     }
 
     /// The cached warm-path (full-encoder) embedding table; `None` on a
     /// [`Precision::Int8`] snapshot, like [`ModelSnapshot::cold_vecs`].
     pub fn warm_vecs(&self) -> Option<&Arc<CowMatrix>> {
-        match &self.tables {
-            Tables::F32 { warm, .. } => Some(warm),
-            Tables::Int8 { .. } => None,
-        }
+        self.warm.pool.as_f32()
     }
 
     /// The quantized cold/warm tables of an [`Precision::Int8`] snapshot
     /// (`None` for f32 snapshots). Used to persist publish-time codes
     /// into an artifact so replicas adopt them bit-identically.
     pub fn quant_tables(&self) -> Option<(&Arc<CowQuantMatrix>, &Arc<CowQuantMatrix>)> {
-        match &self.tables {
-            Tables::F32 { .. } => None,
-            Tables::Int8 { cold, warm, .. } => Some((cold, warm)),
-        }
+        self.cold.pool.as_int8().zip(self.warm.pool.as_int8())
     }
 
     /// The numeric representation this snapshot serves from.
     pub fn precision(&self) -> Precision {
-        match &self.tables {
-            Tables::F32 { .. } => Precision::F32,
-            Tables::Int8 { .. } => Precision::Int8,
+        if self.cold.pool.is_quantized() {
+            Precision::Int8
+        } else {
+            Precision::F32
         }
     }
 
     /// Bytes the cached item tables occupy as served.
     pub fn snapshot_bytes(&self) -> u64 {
-        self.tables.storage_bytes() as u64
+        (self.cold.pool.storage_bytes() + self.warm.pool.storage_bytes()) as u64
     }
 
     /// Bytes the same tables would occupy as raw f32.
     pub fn snapshot_f32_bytes(&self) -> u64 {
-        self.tables.f32_bytes() as u64
+        (self.cold.pool.f32_bytes() + self.warm.pool.f32_bytes()) as u64
     }
 
     /// Serialized form of the ANN index, for persisting into an artifact.
@@ -649,8 +557,8 @@ impl ModelSnapshot {
 /// The server's policy router and request validation are sized to the boot
 /// snapshot, so a hot swap must be a retrained model over the same
 /// catalogue (the paper's periodic-retrain setup). A snapshot with fewer
-/// items would let already-validated ids reach a forward pass that cannot
-/// score them.
+/// items would let already-validated ids reach a table that has no row
+/// for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItemSpaceMismatch {
     /// Items in the catalogue being served.

@@ -551,29 +551,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame. Returns `Ok(None)` on clean EOF at a
-/// frame boundary (the peer hung up between requests).
-///
-/// For sockets with a read timeout use [`FrameReader`] instead: this
-/// function treats `WouldBlock`/`TimedOut` as an error and any bytes it
-/// already consumed are lost, so retrying it mid-frame desynchronizes the
-/// stream.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Bytes>, ProtocolError> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Malformed("frame too large"));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Bytes::from(payload)))
-}
-
 /// Outcome of one [`FrameReader::read_frame`] call.
 #[derive(Debug)]
 pub enum FrameRead {
@@ -587,7 +564,8 @@ pub enum FrameRead {
     Idle,
 }
 
-/// Stateful frame reader for sockets with a read timeout.
+/// The frame reader, for blocking sockets and sockets with a read timeout
+/// alike.
 ///
 /// A timeout can fire anywhere — including in the middle of a frame's
 /// length prefix or payload. This reader keeps whatever it has consumed so
@@ -878,17 +856,18 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip_and_reject_oversize() {
+    fn frames_roundtrip_through_a_blocking_reader() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"hello").unwrap();
         write_frame(&mut wire, b"").unwrap();
         let mut r = std::io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_ref(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_ref(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-
-        let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        let mut r = std::io::Cursor::new(huge.to_vec());
-        assert!(read_frame(&mut r).is_err());
+        let mut reader = FrameReader::new();
+        for expected in [&b"hello"[..], b""] {
+            match reader.read_frame(&mut r).unwrap() {
+                FrameRead::Frame(payload) => assert_eq!(payload.as_ref(), expected),
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert!(matches!(reader.read_frame(&mut r).unwrap(), FrameRead::Eof), "clean EOF");
     }
 }

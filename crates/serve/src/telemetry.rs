@@ -101,7 +101,7 @@ struct EndpointTelemetry {
 /// away into a server-wide number.
 #[derive(Debug, Default)]
 struct ShardTelemetry {
-    /// Batched forward passes this shard executed.
+    /// Batched table passes this shard executed.
     batches: Counter,
     /// Items scored through this shard's batched passes.
     batched_items: Counter,
@@ -166,7 +166,7 @@ impl Telemetry {
         atnn_obs::emit(&Event::Shed { endpoint: endpoint.name().into() });
     }
 
-    /// Accounts one batched forward pass over `items` items on `shard`.
+    /// Accounts one batched table pass over `items` items on `shard`.
     pub fn record_batch(&self, shard: usize, items: usize) {
         let s = &self.shards[shard];
         s.batches.incr();

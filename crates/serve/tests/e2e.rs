@@ -13,11 +13,25 @@ use std::time::{Duration, Instant};
 
 use atnn_core::{Atnn, AtnnConfig, CtrTrainer, ModelArtifact, PopularityIndex, TrainOptions};
 use atnn_data::tmall::{TmallConfig, TmallDataset};
-use atnn_serve::protocol::{read_frame, write_frame};
+use atnn_serve::protocol::write_frame;
 use atnn_serve::{
-    serve, shard_of, ModelManager, ModelSnapshot, Precision, Request, Response, ServeClient,
-    ServeConfig, ServeHandle,
+    serve, shard_of, FrameRead, FrameReader, ModelManager, ModelSnapshot, Precision, Request,
+    Response, ServeClient, ServeConfig, ServeHandle,
 };
+
+/// Reads one whole frame from a blocking stream; `Ok(None)` on a clean
+/// EOF at a frame boundary. `FrameReader` never reads past the frame it
+/// returns, so a throwaway reader per call loses no bytes.
+fn read_frame(r: &mut impl Read) -> Result<Option<bytes::Bytes>, atnn_serve::ProtocolError> {
+    let mut reader = FrameReader::new();
+    loop {
+        match reader.read_frame(r)? {
+            FrameRead::Frame(payload) => return Ok(Some(payload)),
+            FrameRead::Idle => continue,
+            FrameRead::Eof => return Ok(None),
+        }
+    }
+}
 
 fn tiny_data_config() -> TmallConfig {
     TmallConfig { num_users: 60, num_items: 150, num_interactions: 1_200, ..TmallConfig::tiny() }

@@ -1,18 +1,22 @@
-//! Chunked copy-on-write tables for incremental snapshot publishes.
+//! Chunked copy-on-write tables: the one row store, one per precision.
 //!
 //! A serving snapshot's precomputed item tables are large (rows ==
 //! catalogue size) but a delta publish touches only a changed set `S`.
-//! Storing the table as fixed-height row chunks behind `Arc`s lets a
-//! delta build *share* every untouched chunk with the previous snapshot
-//! and clone only the chunks containing changed rows
-//! ([`Arc::make_mut`]): publish cost and publish-time resident growth
-//! become `O(|S| + touched chunks)` instead of `O(rows)`.
+//! Storing the table as row chunks behind `Arc`s lets a delta build
+//! *share* every untouched chunk with the previous snapshot and clone
+//! only the chunks containing changed rows ([`Arc::make_mut`]): publish
+//! cost and publish-time resident growth become `O(|S| + touched
+//! chunks)` instead of `O(rows)`.
 //!
-//! Two table kinds mirror the snapshot precisions:
-//! [`CowMatrix`] over f32 [`Matrix`] chunks and [`CowQuantMatrix`] over
-//! int8 [`QuantizedMatrix`] chunks. Both expose row reads identical to
-//! their contiguous counterparts — chunking changes layout, never
-//! values — and in-place row updates that are bit-identical to
+//! [`CowTable`] holds the mechanics every precision shares — row
+//! addressing, clone-on-touch, chunk accounting. The two precisions are
+//! its instantiations: [`CowMatrix`] over f32 [`Matrix`] chunks and
+//! [`CowQuantMatrix`] over int8 [`QuantizedMatrix`] chunks. A table is
+//! either cut into [`COW_CHUNK_ROWS`]-row chunks (what serving publishes)
+//! or adopts an existing contiguous `Arc` as its single chunk without
+//! copying it (`From<Arc<_>>`), so a contiguous table is just the
+//! one-chunk case. Chunking changes layout, never values: row reads are
+//! identical either way, and in-place row updates are bit-identical to
 //! rebuilding the row from scratch (f32 rows are copied verbatim; int8
 //! rows go through [`QuantizedMatrix::requantize_row`], which is
 //! row-local against the table's frozen anchor).
@@ -29,44 +33,50 @@ use crate::Matrix;
 /// indirection is amortized over thousands of rows.
 pub const COW_CHUNK_ROWS: usize = 1024;
 
-const CHUNK_SHIFT: u32 = COW_CHUNK_ROWS.trailing_zeros();
-const CHUNK_MASK: usize = COW_CHUNK_ROWS - 1;
-
-/// Splits `rows` into chunk ranges of [`COW_CHUNK_ROWS`] (last partial).
-fn chunk_ranges(rows: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..rows.div_ceil(COW_CHUNK_ROWS))
-        .map(move |c| (c * COW_CHUNK_ROWS, ((c + 1) * COW_CHUNK_ROWS).min(rows)))
-}
-
-/// An f32 matrix stored as fixed-height row chunks behind `Arc`s.
-///
-/// Row reads are bit-identical to the contiguous [`Matrix`] the table
-/// was built from; `clone` is `O(chunks)` pointer bumps; updating `k`
-/// rows clones only the chunks they land in.
+/// Rows stored as chunks of `C` behind `Arc`s. `clone` is `O(chunks)`
+/// pointer bumps; writing `k` rows clones only the chunks they land in.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CowMatrix {
+pub struct CowTable<C> {
     rows: usize,
     cols: usize,
-    chunks: Vec<Arc<Matrix>>,
+    /// Row `i` is local row `i & mask` of chunk `i >> shift`: log2 of
+    /// [`COW_CHUNK_ROWS`] and its low-bit mask for a chunked table; a
+    /// shift that sends every row to chunk 0 and an all-ones mask for an
+    /// adopted one.
+    shift: u32,
+    mask: usize,
+    chunks: Vec<Arc<C>>,
 }
 
-impl CowMatrix {
-    /// Chunks `m` (copies once; later clones share the chunks).
+/// An f32 table: row reads are bit-identical to the contiguous
+/// [`Matrix`] it was chunked from or adopted.
+pub type CowMatrix = CowTable<Matrix>;
+
+/// An int8-quantized table. Every chunk carries the same anchor values
+/// as the source table (bit-identical), so one [`PreparedQuery`] serves
+/// all chunks and in-place row re-quantization against the shared anchor
+/// is exact.
+pub type CowQuantMatrix = CowTable<QuantizedMatrix>;
+
+impl<C> CowTable<C> {
+    /// Cuts `rows` into [`COW_CHUNK_ROWS`]-row chunks (last one partial),
+    /// each produced by `chunk(start, end)`.
     ///
     /// # Panics
-    /// Panics on an empty matrix — a zero-row table has no serving use
-    /// and would make chunk addressing degenerate.
-    pub fn from_matrix(m: &Matrix) -> Self {
-        let (rows, cols) = m.shape();
-        assert!(rows > 0 && cols > 0, "CowMatrix: empty source matrix");
-        let chunks = chunk_ranges(rows)
-            .map(|(start, end)| {
-                let mut chunk = Matrix::zeros(end - start, cols);
-                chunk.as_mut_slice().copy_from_slice(&m.as_slice()[start * cols..end * cols]);
-                Arc::new(chunk)
-            })
+    /// Panics on an empty table — a zero-row table has no serving use
+    /// and would leave no chunk to carry the shared anchor.
+    fn chunked(rows: usize, cols: usize, mut chunk: impl FnMut(usize, usize) -> C) -> Self {
+        assert!(rows > 0 && cols > 0, "CowTable: empty source table");
+        let chunks = (0..rows.div_ceil(COW_CHUNK_ROWS))
+            .map(|c| Arc::new(chunk(c * COW_CHUNK_ROWS, ((c + 1) * COW_CHUNK_ROWS).min(rows))))
             .collect();
-        CowMatrix { rows, cols, chunks }
+        let shift = COW_CHUNK_ROWS.trailing_zeros();
+        CowTable { rows, cols, shift, mask: COW_CHUNK_ROWS - 1, chunks }
+    }
+
+    /// Wraps an existing contiguous table as the single chunk, zero-copy.
+    fn adopt(rows: usize, cols: usize, chunk: Arc<C>) -> Self {
+        CowTable { rows, cols, shift: usize::BITS - 1, mask: usize::MAX, chunks: vec![chunk] }
     }
 
     /// Number of rows.
@@ -79,111 +89,7 @@ impl CowMatrix {
         self.cols
     }
 
-    /// Total element count (`rows × cols`).
-    pub fn len(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// True when the table holds no elements (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Row `i` as a slice — same values, same order as the source matrix.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        self.chunks[i >> CHUNK_SHIFT].row(i & CHUNK_MASK)
-    }
-
-    /// Number of chunks backing the table.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// How many chunks `self` and `other` share by pointer identity —
-    /// the copy-on-write savings a delta actually realized.
-    pub fn shared_chunks_with(&self, other: &CowMatrix) -> usize {
-        self.chunks.iter().zip(&other.chunks).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
-    }
-
-    /// Replaces row `ids[k]` with `rows.row(k)` for every `k`, cloning
-    /// only the touched chunks (untouched chunks stay shared with every
-    /// other handle to this table).
-    ///
-    /// # Panics
-    /// Panics on a width mismatch, a length mismatch between `ids` and
-    /// `rows`, or an id out of range.
-    pub fn update_rows(&mut self, ids: &[u32], rows: &Matrix) {
-        assert_eq!(rows.cols(), self.cols, "update_rows width mismatch");
-        assert_eq!(rows.rows(), ids.len(), "update_rows id/row count mismatch");
-        for (k, &id) in ids.iter().enumerate() {
-            let i = id as usize;
-            assert!(i < self.rows, "update_rows: id {id} out of range ({} rows)", self.rows);
-            let chunk = Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT]);
-            chunk.row_mut(i & CHUNK_MASK).copy_from_slice(rows.row(k));
-        }
-    }
-
-    /// Materializes the table as one contiguous [`Matrix`] (used when an
-    /// index rebuild needs the whole pool; serving never calls this).
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        let slice = out.as_mut_slice();
-        for ((start, end), chunk) in chunk_ranges(self.rows).zip(&self.chunks) {
-            slice[start * self.cols..end * self.cols].copy_from_slice(chunk.as_slice());
-        }
-        out
-    }
-}
-
-/// An int8-quantized table stored as fixed-height row chunks behind
-/// `Arc`s. Every chunk carries the same anchor values as the source
-/// table (bit-identical), so one [`PreparedQuery`] serves all chunks
-/// and in-place row re-quantization against the shared anchor is exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CowQuantMatrix {
-    rows: usize,
-    cols: usize,
-    chunks: Vec<Arc<QuantizedMatrix>>,
-}
-
-impl CowQuantMatrix {
-    /// Chunks `q` by exact row slices — codes, scales and zero points
-    /// are copied verbatim, so reads reproduce the source bit for bit.
-    ///
-    /// # Panics
-    /// Panics on an empty table.
-    pub fn from_quantized(q: &QuantizedMatrix) -> Self {
-        assert!(q.rows() > 0 && q.cols() > 0, "CowQuantMatrix: empty source table");
-        let chunks =
-            chunk_ranges(q.rows()).map(|(start, end)| Arc::new(q.slice_rows(start, end))).collect();
-        CowQuantMatrix { rows: q.rows(), cols: q.cols(), chunks }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The shared anchor row (identical across chunks by construction).
-    pub fn anchor(&self) -> &[f32] {
-        self.chunks[0].anchor()
-    }
-
-    /// Resident bytes across all chunks. Each chunk stores its own copy
-    /// of the anchor row, so this exceeds the contiguous table's
-    /// footprint by `(chunks - 1) × cols × 4` bytes — noise next to the
-    /// codes at serving scale.
-    pub fn storage_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.storage_bytes()).sum()
-    }
-
-    /// Bytes the same table would occupy as dense f32.
+    /// Bytes the table occupies (or would occupy) as dense f32.
     pub fn f32_bytes(&self) -> usize {
         self.rows * self.cols * 4
     }
@@ -193,9 +99,113 @@ impl CowQuantMatrix {
         self.chunks.len()
     }
 
-    /// Chunks shared with `other` by pointer identity.
-    pub fn shared_chunks_with(&self, other: &CowQuantMatrix) -> usize {
+    /// How many chunks `self` and `other` share by pointer identity —
+    /// the copy-on-write savings a delta actually realized.
+    pub fn shared_chunks_with(&self, other: &Self) -> usize {
         self.chunks.iter().zip(&other.chunks).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+    }
+
+    /// The chunk holding row `i` and the row's index inside it.
+    #[inline]
+    fn locate(&self, i: usize) -> (&C, usize) {
+        (&self.chunks[i >> self.shift], i & self.mask)
+    }
+}
+
+impl<C: Clone> CowTable<C> {
+    /// Calls `write(chunk, local_row, rows.row(k))` for every `ids[k]`,
+    /// cloning only the touched chunks (untouched chunks stay shared with
+    /// every other handle to this table, and an adopted chunk's donor
+    /// `Arc` is never written through).
+    ///
+    /// # Panics
+    /// Panics on a width mismatch, a length mismatch between `ids` and
+    /// `rows`, or an id out of range.
+    fn write_rows(&mut self, ids: &[u32], rows: &Matrix, write: impl Fn(&mut C, usize, &[f32])) {
+        assert_eq!(rows.cols(), self.cols, "row update width mismatch");
+        assert_eq!(rows.rows(), ids.len(), "row update id/row count mismatch");
+        for (k, &id) in ids.iter().enumerate() {
+            let i = id as usize;
+            assert!(i < self.rows, "row update: id {id} out of range ({} rows)", self.rows);
+            let chunk = Arc::make_mut(&mut self.chunks[i >> self.shift]);
+            write(chunk, i & self.mask, rows.row(k));
+        }
+    }
+}
+
+impl From<Arc<Matrix>> for CowMatrix {
+    /// Adopts `m` as the table's single chunk without copying it.
+    fn from(m: Arc<Matrix>) -> Self {
+        Self::adopt(m.rows(), m.cols(), m)
+    }
+}
+
+impl CowMatrix {
+    /// Chunks `m` (copies once; later clones share the chunks).
+    ///
+    /// # Panics
+    /// Panics on an empty matrix.
+    pub fn from_matrix(m: &Matrix) -> Self {
+        let cols = m.cols();
+        Self::chunked(m.rows(), cols, |start, end| {
+            let mut chunk = Matrix::zeros(end - start, cols);
+            chunk.as_mut_slice().copy_from_slice(&m.as_slice()[start * cols..end * cols]);
+            chunk
+        })
+    }
+
+    /// Row `i` as a slice — same values, same order as the source matrix.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f32] {
+        let (chunk, r) = self.locate(i);
+        chunk.row(r)
+    }
+
+    /// Replaces row `ids[k]` with `rows.row(k)` for every `k`, cloning
+    /// only the touched chunks.
+    ///
+    /// # Panics
+    /// Panics on a width/length mismatch or an id out of range.
+    pub fn update_rows(&mut self, ids: &[u32], rows: &Matrix) {
+        self.write_rows(ids, rows, |chunk, r, row| chunk.row_mut(r).copy_from_slice(row));
+    }
+
+    /// Materializes the table as one contiguous [`Matrix`] (used when an
+    /// index rebuild needs the whole pool; serving never calls this).
+    pub fn to_matrix(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        let mut at = 0;
+        for chunk in &self.chunks {
+            out.as_mut_slice()[at..at + chunk.len()].copy_from_slice(chunk.as_slice());
+            at += chunk.len();
+        }
+        out
+    }
+}
+
+impl From<Arc<QuantizedMatrix>> for CowQuantMatrix {
+    /// Adopts `q` as the table's single chunk without copying it.
+    fn from(q: Arc<QuantizedMatrix>) -> Self {
+        Self::adopt(q.rows(), q.cols(), q)
+    }
+}
+
+impl CowQuantMatrix {
+    /// Chunks `q` by exact row slices — codes, scales and zero points
+    /// are copied verbatim, so reads reproduce the source bit for bit.
+    ///
+    /// # Panics
+    /// Panics on an empty table.
+    pub fn from_quantized(q: &QuantizedMatrix) -> Self {
+        Self::chunked(q.rows(), q.cols(), |start, end| q.slice_rows(start, end))
+    }
+
+    /// Resident bytes across all chunks. Each chunk stores its own copy
+    /// of the anchor row, so a chunked table exceeds the contiguous
+    /// footprint by `(chunks - 1) × cols × 4` bytes — noise next to the
+    /// codes at serving scale.
+    pub fn storage_bytes(&self) -> usize {
+        self.chunks.iter().map(|c| c.storage_bytes()).sum()
     }
 
     /// Quantizes `query` against the shared anchor — interchangeable
@@ -209,12 +219,14 @@ impl CowQuantMatrix {
     /// the row; identical to the contiguous table's result.
     #[inline]
     pub fn dot_prepared(&self, i: usize, query: &PreparedQuery) -> f32 {
-        self.chunks[i >> CHUNK_SHIFT].dot_prepared(i & CHUNK_MASK, query)
+        let (chunk, r) = self.locate(i);
+        chunk.dot_prepared(r, query)
     }
 
     /// Reconstructs row `i` into `out`.
     pub fn dequantize_row_into(&self, i: usize, out: &mut [f32]) {
-        self.chunks[i >> CHUNK_SHIFT].dequantize_row_into(i & CHUNK_MASK, out);
+        let (chunk, r) = self.locate(i);
+        chunk.dequantize_row_into(r, out);
     }
 
     /// Re-quantizes row `ids[k]` in place from `rows.row(k)` against the
@@ -225,21 +237,14 @@ impl CowQuantMatrix {
     /// # Panics
     /// Panics on a width/length mismatch or an id out of range.
     pub fn requantize_rows(&mut self, ids: &[u32], rows: &Matrix) {
-        assert_eq!(rows.cols(), self.cols, "requantize_rows width mismatch");
-        assert_eq!(rows.rows(), ids.len(), "requantize_rows id/row count mismatch");
-        for (k, &id) in ids.iter().enumerate() {
-            let i = id as usize;
-            assert!(i < self.rows, "requantize_rows: id {id} out of range ({} rows)", self.rows);
-            let chunk = Arc::make_mut(&mut self.chunks[i >> CHUNK_SHIFT]);
-            chunk.requantize_row(i & CHUNK_MASK, rows.row(k));
-        }
+        self.write_rows(ids, rows, |chunk, r, row| chunk.requantize_row(r, row));
     }
 
     /// Concatenates the chunks back into one contiguous
     /// [`QuantizedMatrix`] (artifact persistence); bit-identical to the
     /// table this was chunked from, with all row updates applied.
     pub fn to_quantized(&self) -> QuantizedMatrix {
-        let mut out = self.chunks[0].slice_rows(0, self.chunks[0].rows());
+        let mut out = (*self.chunks[0]).clone();
         for chunk in &self.chunks[1..] {
             out.append_rows(chunk);
         }
@@ -250,10 +255,8 @@ impl CowQuantMatrix {
     /// rebuilds over a quantized pool; serving never calls this).
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        let mut row = vec![0.0f32; self.cols];
         for i in 0..self.rows {
-            self.dequantize_row_into(i, &mut row);
-            out.row_mut(i).copy_from_slice(&row);
+            self.dequantize_row_into(i, out.row_mut(i));
         }
         out
     }

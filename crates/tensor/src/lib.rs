@@ -37,7 +37,7 @@ pub use backend::{
     set_process_backend, with_backend, with_backend_opt, Avx2Backend, Backend, BackendKind,
     CpuCaps, FastMathBackend, ScalarBackend, UnknownBackend,
 };
-pub use cow::{CowMatrix, CowQuantMatrix, COW_CHUNK_ROWS};
+pub use cow::{CowMatrix, CowQuantMatrix, CowTable, COW_CHUNK_ROWS};
 pub use error::TensorError;
 pub use gemm::{gemm_dispatch_counts, stable_sigmoid, ActKind};
 pub use matrix::Matrix;

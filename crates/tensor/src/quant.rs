@@ -309,10 +309,7 @@ impl QuantizedMatrix {
     pub fn dequantize(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
         for i in 0..self.rows {
-            let start = i * self.cols;
-            let mut row = vec![0.0; self.cols];
-            self.dequantize_row_into(i, &mut row);
-            m.as_mut_slice()[start..start + self.cols].copy_from_slice(&row);
+            self.dequantize_row_into(i, m.row_mut(i));
         }
         m
     }
@@ -395,8 +392,16 @@ impl QuantizedMatrix {
         }
         let rows = buf.get_u64_le() as usize;
         let cols = buf.get_u64_le() as usize;
-        let n = rows.checked_mul(cols).ok_or(TensorError::Corrupt("quant shape overflow"))?;
-        if buf.remaining() < cols * 4 + n + rows * 4 + rows {
+        // Anchor (4·cols) + codes (rows·cols) + scales (4·rows) + nzps (rows).
+        // The shape is outside input: a sum that wrapped would pass the
+        // truncation check and size the allocations below from garbage.
+        let n = rows.checked_mul(cols);
+        let payload =
+            n.and_then(|n| n.checked_add(cols.checked_mul(4)?)?.checked_add(rows.checked_mul(5)?));
+        let (Some(n), Some(payload)) = (n, payload) else {
+            return Err(TensorError::Corrupt("quant shape overflow"));
+        };
+        if buf.remaining() < payload {
             return Err(TensorError::Corrupt("quant payload truncated"));
         }
         let mut anchor = Vec::with_capacity(cols);
@@ -657,6 +662,24 @@ mod tests {
         let mut garbled = BytesMut::from(&full[..]);
         garbled[0] ^= 0xff;
         assert!(QuantizedMatrix::decode(&mut garbled.freeze()).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_header_whose_payload_size_wraps() {
+        // rows = 0, cols = 2^62 + 1: `cols * 4` wraps to 4, so an unchecked
+        // size sum passes the truncation test against the 64 bytes that
+        // follow and the anchor allocation dies with `capacity overflow`.
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(VERSION);
+        buf.put_u64_le(0);
+        buf.put_u64_le((1u64 << 62) + 1);
+        buf.put_slice(&[0u8; 64]);
+        assert_eq!(buf.len(), 88);
+        assert!(matches!(
+            QuantizedMatrix::decode(&mut buf.freeze()),
+            Err(TensorError::Corrupt("quant shape overflow"))
+        ));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use atnn_repro::atnn::{Atnn, AtnnConfig, CtrTrainer, PopularityIndex, ServingIndex, TrainOptions};
+use atnn_repro::atnn::{Atnn, AtnnConfig, CtrTrainer, PopularityIndex, TrainOptions};
 use atnn_repro::data::tmall::{TmallConfig, TmallDataset};
+use atnn_repro::tensor::SwapCell;
 
 fn main() {
     let data = TmallDataset::generate(TmallConfig::small());
@@ -27,8 +28,7 @@ fn main() {
 
     // Publish the initial index from user group A.
     let group_a: Vec<u32> = (0..(data.num_users() / 2) as u32).collect();
-    let index =
-        Arc::new(ServingIndex::new(PopularityIndex::build(&serving_model, &data, &group_a)));
+    let index = Arc::new(SwapCell::new(PopularityIndex::build(&serving_model, &data, &group_a)));
 
     // Materialize generated item vectors for a shard of new arrivals —
     // this is the per-item O(1) state the scorers work from.
@@ -47,7 +47,7 @@ fn main() {
                 let mut checksum = 0.0f64;
                 for round in 0..200 {
                     for i in 0..vectors.rows() {
-                        checksum += index.score(vectors.row(i)) as f64;
+                        checksum += index.load().score_vector(vectors.row(i)) as f64;
                     }
                     total_scored.fetch_add(vectors.rows() as u64, Ordering::Relaxed);
                     if round == 0 && worker == 0 {
@@ -74,7 +74,7 @@ fn main() {
     );
 
     // Show the end product: the top-5 new arrivals under the final index.
-    let final_index = index.snapshot();
+    let final_index = index.load();
     let mut ranked: Vec<(u32, f32)> =
         items.iter().map(|&it| (it, final_index.score_vector(vectors.row(it as usize)))).collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (default-members: the whole workspace)"
 cargo test -q
 
 echo "==> serve smoke (one request per endpoint over TCP)"
@@ -44,6 +44,15 @@ cargo run --release -p atnn-serve --bin atnn_serve -- --scale tiny --smoke --qua
 
 echo "==> publish smoke (1% delta republish at 100k rows >= 5x full, delta bit-exact)"
 cargo run --release -p atnn-bench --bin publish_bench -- --smoke
+
+echo "==> benchmark tests (the package pins the public API of tensor/ann/serve/core from outside)"
+# --release so the dependency build is shared with the smoke run below.
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke (all four workloads at 1/20 duration, every reply checked by the oracle)"
+# One retry: besides correctness the smoke fails a run whose load generator
+# fell behind its send schedule, which a busy 2-CPU box does now and then.
+benchmark/run.sh --smoke || benchmark/run.sh --smoke
 
 echo "==> obs smoke (train one epoch with a JsonlSink, replay the event stream)"
 cargo run --release --example obs_smoke

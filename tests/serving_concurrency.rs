@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
-use atnn_repro::atnn::{Atnn, AtnnConfig, CtrTrainer, PopularityIndex, ServingIndex, TrainOptions};
+use atnn_repro::atnn::{Atnn, AtnnConfig, CtrTrainer, PopularityIndex, TrainOptions};
 use atnn_repro::data::tmall::{TmallConfig, TmallDataset};
+use atnn_repro::tensor::SwapCell;
 
 #[test]
 fn hot_swap_is_atomic_under_concurrent_reads() {
@@ -32,7 +33,7 @@ fn hot_swap_is_atomic_under_concurrent_reads() {
     let expected_b = index_b.score_vector(&item_vec);
     assert_ne!(expected_a, expected_b, "the two groups must score differently");
 
-    let serving = Arc::new(ServingIndex::new(index_a.clone()));
+    let serving = Arc::new(SwapCell::new(index_a.clone()));
     std::thread::scope(|scope| {
         // Four readers hammer the index; every score must equal one of the
         // two legitimate values.
@@ -41,7 +42,7 @@ fn hot_swap_is_atomic_under_concurrent_reads() {
             let item_vec = item_vec.clone();
             scope.spawn(move || {
                 for _ in 0..20_000 {
-                    let s = serving.score(&item_vec);
+                    let s = serving.load().score_vector(&item_vec);
                     assert!(
                         s == expected_a || s == expected_b,
                         "torn read: {s} not in {{{expected_a}, {expected_b}}}"
@@ -57,7 +58,7 @@ fn hot_swap_is_atomic_under_concurrent_reads() {
             let index_b = index_b.clone();
             scope.spawn(move || {
                 for _ in 0..5_000 {
-                    let snap = serving.snapshot();
+                    let snap = serving.load();
                     assert!(*snap == index_a || *snap == index_b, "torn snapshot");
                 }
             });
@@ -81,12 +82,12 @@ fn snapshots_are_zero_copy_and_stable_across_publish() {
     let index_a = PopularityIndex::build(&model, &data, &(0..64).collect::<Vec<_>>());
     let index_b = PopularityIndex::build(&model, &data, &(64..128).collect::<Vec<_>>());
 
-    let serving = ServingIndex::new(index_a.clone());
-    let s1 = serving.snapshot();
-    let s2 = serving.snapshot();
+    let serving = SwapCell::new(index_a.clone());
+    let s1 = serving.load();
+    let s2 = serving.load();
     assert!(Arc::ptr_eq(&s1, &s2), "snapshot must share storage, not clone the matrix");
 
     serving.publish(index_b.clone());
     assert_eq!(*s1, index_a, "pre-publish snapshot unchanged");
-    assert_eq!(*serving.snapshot(), index_b);
+    assert_eq!(*serving.load(), index_b);
 }
